@@ -1,0 +1,26 @@
+//! Order statistics over samples.
+
+/// The `q`-quantile (0 ≤ q ≤ 1) by linear interpolation between order
+/// statistics; 0 for an empty sample.
+pub fn quantile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+pub fn median(samples: &[f64]) -> f64 {
+    quantile(samples, 0.5)
+}
+
+pub fn mean(samples: &[f64]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.iter().sum::<f64>() / samples.len() as f64
+}
