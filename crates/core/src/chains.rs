@@ -13,8 +13,8 @@
 //! The reachable schedules are therefore the doubling/increment addition
 //! chains, and the optimum is computed exactly here by dynamic programming.
 //! For x¹⁰ the optimum is **4** multiplies (2→4→5→10) — one better than the
-//! 5 of the paper's Listing 5 (2→4→8→9→10); EXPERIMENTS.md records this
-//! delta.
+//! 5 of the paper's Listing 5 (2→4→8→9→10); the E3/E4 table of the
+//! `experiments` binary prints this delta.
 
 /// One multiply in a power schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -153,8 +153,8 @@ impl std::fmt::Debug for Context {
 }
 
 impl Context {
-    /// A context over its own default runtime (O2, fast-math, naive
-    /// engine — Bohrium's defaults per the paper's §4).
+    /// A context over its own default runtime (O2, fast-math, fusing
+    /// engine — see [`Runtime::new`]).
     pub fn new() -> Context {
         Context::with_runtime(Runtime::builder().build_shared())
     }

@@ -1,102 +1,26 @@
-//! Static validation of byte-code programs — compatibility wrappers over
-//! the [`crate::verify()`] rule catalogue.
-//!
-//! [`validate`] predates the verifier and reported stringly-typed
-//! findings; it now delegates to [`crate::verify::verify`] and flattens
-//! the structured [`crate::VerifyError`]s into [`ValidationError`]s, so
-//! the two APIs can never disagree about what a well-formed program is.
-//! New code should call [`crate::verify::verify`] directly and keep the
-//! stable [`crate::VerifyCode`]s (and the execution witness).
-
-use crate::instr::Instruction;
-use crate::program::Program;
-use crate::verify::{verify_instr, VerifyError};
-use std::fmt;
-
-/// A single validation failure, tagged with the instruction index.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValidationError {
-    /// Index of the offending instruction (or `usize::MAX` for
-    /// program-level problems).
-    pub instr: usize,
-    /// Human-readable reason.
-    pub message: String,
-}
-
-impl fmt::Display for ValidationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.instr == usize::MAX {
-            write!(f, "invalid program: {}", self.message)
-        } else {
-            write!(f, "invalid instruction #{}: {}", self.instr, self.message)
-        }
-    }
-}
-
-impl std::error::Error for ValidationError {}
-
-impl From<VerifyError> for ValidationError {
-    /// Flatten a structured finding: the detail becomes the message
-    /// verbatim (existing callers match on message substrings), the
-    /// instruction index carries over, the code is dropped.
-    fn from(e: VerifyError) -> ValidationError {
-        ValidationError {
-            instr: e.instr,
-            message: e.detail,
-        }
-    }
-}
-
-/// Validate a whole program, collecting every problem found.
-///
-/// Thin wrapper over [`crate::verify::verify`] (which additionally mints
-/// an execution witness and reports stable error codes).
-///
-/// # Errors
-///
-/// The list of problems; empty result means the program is well-formed.
-pub fn validate(program: &Program) -> Result<(), Vec<ValidationError>> {
-    match crate::verify::verify(program) {
-        Ok(_) => Ok(()),
-        Err(errors) => Err(errors.into_iter().map(ValidationError::from).collect()),
-    }
-}
-
-/// Validate one instruction against its program context, reporting
-/// **all** of its problems (data-flow rules, which need whole-program
-/// state, are only checked by [`validate`] / [`crate::verify::verify`]).
-///
-/// # Errors
-///
-/// Every instruction-local finding, as structured [`VerifyError`]s.
-pub fn validate_instr(program: &Program, instr: &Instruction) -> Result<(), Vec<VerifyError>> {
-    let errors = verify_instr(program, instr);
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
+//! Message-level cases for the [`crate::verify()`] rule catalogue: each
+//! pins the human-readable detail a rule reports (front-ends match on
+//! these substrings), next to the code-level cases in `verify.rs`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::opcode::Opcode;
     use crate::operand::ViewRef;
     use crate::parse::parse_program;
     use crate::program::ProgramBuilder;
+    use crate::verify::{verify, verify_instr};
     use bh_tensor::Scalar;
 
     fn assert_valid(text: &str) {
         let p = parse_program(text).unwrap();
-        if let Err(es) = validate(&p) {
+        if let Err(es) = verify(&p) {
             panic!("expected valid, got: {:?}", es);
         }
     }
 
     fn first_error(text: &str) -> String {
         let p = parse_program(text).unwrap();
-        validate(&p).unwrap_err()[0].to_string()
+        verify(&p).unwrap_err()[0].to_string()
     }
 
     #[test]
@@ -285,7 +209,7 @@ mod tests {
             ViewRef::full(a),
             Scalar::F64(1.0),
         ));
-        let errs = validate(&p).unwrap_err();
+        let errs = verify(&p).unwrap_err();
         assert!(errs[0].to_string().contains("expects 3 operands"));
     }
 
@@ -297,9 +221,9 @@ mod tests {
              BH_SQRT y x\n",
         )
         .unwrap();
-        let errs = validate_instr(&p, &p.instrs()[0]).unwrap_err();
+        let errs = verify_instr(&p, &p.instrs()[0]);
         assert!(errs.len() >= 2, "want broadcast + dtype findings: {errs:?}");
         assert_valid(".base ok f64[2]\nBH_IDENTITY ok 1\nBH_SYNC ok\n");
-        assert!(validate_instr(&p, &crate::instr::Instruction::noop()).is_ok());
+        assert!(verify_instr(&p, &crate::instr::Instruction::noop()).is_empty());
     }
 }

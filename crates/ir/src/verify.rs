@@ -306,8 +306,7 @@ pub fn verify_owned(program: Program) -> Result<Verified, (Program, Vec<VerifyEr
 }
 
 /// Check one instruction's local rules (everything except data-flow),
-/// collecting all problems — the all-errors replacement for the old
-/// first-error-only `validate_instr`.
+/// collecting all problems.
 pub fn verify_instr(program: &Program, instr: &Instruction) -> Vec<VerifyError> {
     let mut errors = Vec::new();
     if regs_in_range(program, 0, instr, &mut errors) {

@@ -13,6 +13,7 @@
 use bh_ir::{Opcode, Program, ProgramDigest, Verified};
 use bh_observe::Tier;
 use bh_opt::{OptOptions, OptReport};
+use bh_vm::Scheduled;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -24,13 +25,13 @@ use std::sync::Arc;
 /// holding an `Arc` clone keep a coherent plan through any swap.
 #[derive(Debug)]
 pub struct EvalPlan {
-    /// The transformed program wrapped in its [`bh_ir::Verified`]
-    /// witness: verification ran exactly once, at plan-build time, and
-    /// the witness lets every later execution take
-    /// [`bh_vm::Vm::run_verified`]'s trusted path with zero re-checks.
-    /// (`Verified` derefs to [`bh_ir::Program`], so read-only callers
-    /// are unaffected.)
-    pub program: Verified,
+    /// The transformed program with its [`bh_ir::Verified`] witness and
+    /// its fusion schedule: verification and fusion grouping ran exactly
+    /// once, at plan-build time, so every later execution takes
+    /// [`bh_vm::Vm::run_scheduled`]'s trusted path with zero re-checks
+    /// and no per-run grouping. (`Scheduled` derefs to
+    /// [`bh_ir::Program`], so read-only callers are unaffected.)
+    pub program: Scheduled,
     /// What the optimiser did to produce it.
     pub report: OptReport,
     /// Fingerprint of the source program's structural digest, for logs.
@@ -52,10 +53,33 @@ pub struct EvalPlan {
     pub source: Arc<Program>,
 }
 
+impl EvalPlan {
+    /// Assemble a plan from a freshly verified program: computes the
+    /// fusion schedule and the opcode census. Every plan — miss,
+    /// promotion or warm load — is built here.
+    pub(crate) fn new(
+        program: Verified,
+        report: OptReport,
+        source: Arc<Program>,
+        source_fingerprint: u64,
+        tier: Tier,
+    ) -> EvalPlan {
+        let opcode_census = opcode_census(&program);
+        EvalPlan {
+            program: Scheduled::new(program),
+            report,
+            source_fingerprint,
+            opcode_census,
+            tier,
+            source,
+        }
+    }
+}
+
 /// Count a program's instructions by op-code (sorted by op-code,
 /// `BH_NONE` excluded — matching what [`bh_vm::ExecStats`] calls an
 /// instruction).
-pub(crate) fn opcode_census(program: &Program) -> Vec<(Opcode, u64)> {
+fn opcode_census(program: &Program) -> Vec<(Opcode, u64)> {
     let mut counts: BTreeMap<Opcode, u64> = BTreeMap::new();
     for instr in program.instrs() {
         if instr.op != Opcode::NoOp {
@@ -240,14 +264,13 @@ mod tests {
                 digest,
                 options: OptOptions::default(),
             },
-            Arc::new(EvalPlan {
-                program: bh_ir::verify_owned(program.clone()).expect("test program verifies"),
+            Arc::new(EvalPlan::new(
+                bh_ir::verify_owned(program).expect("test program verifies"),
                 report,
-                source_fingerprint: fp,
-                opcode_census: opcode_census(&program),
-                tier: Tier::Tier0,
-                source: Arc::new(source),
-            }),
+                Arc::new(source),
+                fp,
+                Tier::Tier0,
+            )),
         )
     }
 

@@ -68,5 +68,7 @@ mod stats;
 
 pub use bh_observe::Tier;
 pub use cache::EvalPlan;
-pub use runtime::{EvalOutcome, Runtime, RuntimeBuilder, StatsSink, DEFAULT_PROMOTE_AFTER};
+pub use runtime::{
+    EvalOutcome, Runtime, RuntimeBuilder, StatsSink, DEFAULT_ENGINE, DEFAULT_PROMOTE_AFTER,
+};
 pub use stats::{AuditCounters, RuntimeStats, TierDecisions};

@@ -24,7 +24,7 @@
 //! plan's source program plus the optimised plan section (tier, options
 //! fingerprint, source digest).
 
-use crate::cache::{opcode_census, CacheKey, EvalPlan};
+use crate::cache::{CacheKey, EvalPlan};
 use bh_container::{stable_fingerprint, Container, PlanSection};
 use bh_observe::Tier;
 use bh_opt::{OptOptions, OptReport};
@@ -176,7 +176,6 @@ pub(crate) fn revalidate(
     }
     let verified = bh_ir::verify_owned(plan.program).ok()?;
     bh_ir::check_equiv(&source, &verified, &options.equiv_options()).ok()?;
-    let census = opcode_census(&verified);
     let report = OptReport {
         iterations: 0,
         by_rule: Vec::new(),
@@ -186,14 +185,13 @@ pub(crate) fn revalidate(
         audit_rollbacks: 0,
     };
     let fingerprint = digest.fingerprint();
-    let eval_plan = Arc::new(EvalPlan {
-        program: verified,
+    let eval_plan = Arc::new(EvalPlan::new(
+        verified,
         report,
-        source_fingerprint: fingerprint,
-        opcode_census: census,
-        tier: plan.tier,
-        source: Arc::new(source),
-    });
+        Arc::new(source),
+        fingerprint,
+        plan.tier,
+    ));
     Some((
         CacheKey {
             digest,
@@ -221,14 +219,13 @@ mod tests {
                 digest,
                 options: options.clone(),
             },
-            Arc::new(EvalPlan {
-                program: bh_ir::verify_owned(program.clone()).expect("verifies"),
+            Arc::new(EvalPlan::new(
+                bh_ir::verify_owned(program).expect("verifies"),
                 report,
-                source_fingerprint: fingerprint,
-                opcode_census: opcode_census(&program),
+                Arc::new(source),
+                fingerprint,
                 tier,
-                source: Arc::new(source),
-            }),
+            )),
         )
     }
 

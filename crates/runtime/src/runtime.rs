@@ -1,6 +1,6 @@
 //! The unified runtime: optimise → plan → execute behind one handle.
 
-use crate::cache::{opcode_census, CacheKey, EvalPlan, TransformCache};
+use crate::cache::{CacheKey, EvalPlan, TransformCache};
 use crate::persist;
 use crate::stats::RuntimeStats;
 use bh_ir::Program;
@@ -116,7 +116,9 @@ impl fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// A runtime with Bohrium's defaults (O2, fast-math, naive engine).
+    /// A runtime with Bohrium's defaults: O2, fast-math, and the fusing
+    /// engine over 4096-element (32 KiB of `f64`, L1-sized) blocks — see
+    /// [`DEFAULT_ENGINE`].
     pub fn new() -> Runtime {
         Runtime::default()
     }
@@ -448,23 +450,26 @@ impl Runtime {
                 }
             }
         }
-        let census = opcode_census(&optimised);
         self.trace(TracePhase::Begin, "verify", fingerprint);
         let verify_begun = Instant::now();
         let verified = bh_ir::verify_owned(optimised).map_err(|(_, e)| VmError::Invalid(e))?;
         let verify_elapsed = verify_begun.elapsed();
         self.trace(TracePhase::End, "verify", fingerprint);
-        if let Some(table) = &self.profile {
-            table.record_plan_build(fingerprint, opt_elapsed, verify_elapsed, &census);
-        }
-        let plan = Arc::new(EvalPlan {
-            program: verified,
+        let plan = Arc::new(EvalPlan::new(
+            verified,
             report,
-            source_fingerprint: fingerprint,
-            opcode_census: census,
+            Arc::new(program.clone()),
+            fingerprint,
             tier,
-            source: Arc::new(program.clone()),
-        });
+        ));
+        if let Some(table) = &self.profile {
+            table.record_plan_build(
+                fingerprint,
+                opt_elapsed,
+                verify_elapsed,
+                &plan.opcode_census,
+            );
+        }
         let plan = {
             let mut cache = self.cache.lock();
             let plan = cache.insert(key, plan, baseline_hits);
@@ -639,9 +644,10 @@ impl Runtime {
         };
         self.trace(TracePhase::End, "bind", fingerprint);
         self.trace(TracePhase::Begin, "execute", fingerprint);
-        // The plan carries its verification witness from build time, so
-        // this is the trusted path: zero verify/validate calls per eval.
-        vm.run_verified(plan.program.as_verified())?;
+        // The plan carries its verification witness and fusion schedule
+        // from build time, so this is the trusted path: zero
+        // verify/validate calls and no fusion grouping per eval.
+        vm.run_scheduled(&plan.program)?;
         let ran_at = if profiling {
             Some(Instant::now())
         } else {
@@ -815,7 +821,6 @@ impl PromotionJob {
             stats.rules_fired += report.total_applications() as u64;
             stats.opt_iterations += report.iterations as u64;
         }
-        let census = opcode_census(&optimised);
         trace_to(&self.tracer, TracePhase::Begin, "verify", fingerprint);
         let verify_begun = Instant::now();
         let verified = match bh_ir::verify_owned(optimised) {
@@ -831,17 +836,21 @@ impl PromotionJob {
         };
         let verify_elapsed = verify_begun.elapsed();
         trace_to(&self.tracer, TracePhase::End, "verify", fingerprint);
-        if let Some(table) = &self.profile {
-            table.record_plan_build(fingerprint, opt_elapsed, verify_elapsed, &census);
-        }
-        let plan = Arc::new(EvalPlan {
-            program: verified,
+        let plan = Arc::new(EvalPlan::new(
+            verified,
             report,
-            source_fingerprint: fingerprint,
-            opcode_census: census,
-            tier: Tier::Tier2,
             source,
-        });
+            fingerprint,
+            Tier::Tier2,
+        ));
+        if let Some(table) = &self.profile {
+            table.record_plan_build(
+                fingerprint,
+                opt_elapsed,
+                verify_elapsed,
+                &plan.opcode_census,
+            );
+        }
         let installed = {
             let mut cache = self.cache.lock();
             let installed = cache.install_promoted(&self.key, Arc::clone(&plan));
@@ -905,7 +914,7 @@ impl Default for RuntimeBuilder {
     fn default() -> RuntimeBuilder {
         RuntimeBuilder {
             options: OptOptions::default(),
-            engine: Engine::Naive,
+            engine: DEFAULT_ENGINE,
             threads: default_threads(),
             cache_capacity: 256,
             sink: None,
@@ -920,6 +929,13 @@ impl Default for RuntimeBuilder {
         }
     }
 }
+
+/// Default execution engine: Bohrium's loop-fusion-like contraction of
+/// element-wise byte-code runs (§2 of the paper), walked in 4096-element
+/// blocks — 32 KiB of `f64`, one L1 data cache. [`Engine::Naive`] (one
+/// kernel per byte-code) stays available through
+/// [`RuntimeBuilder::engine`] and is what [`Vm::new`] uses.
+pub const DEFAULT_ENGINE: Engine = Engine::Fusing { block: 4096 };
 
 /// Default promotion threshold: fresh per-entry hits before a tier-0
 /// plan is re-optimised at full strength. 32 keeps one-shot and churn
@@ -981,7 +997,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Select the execution engine for every evaluation.
+    /// Select the execution engine for every evaluation (default
+    /// [`DEFAULT_ENGINE`]).
     pub fn engine(mut self, engine: Engine) -> RuntimeBuilder {
         self.engine = engine;
         self

@@ -198,6 +198,13 @@ impl Buffer {
         }
     }
 
+    /// True when this handle is the only one to its storage, so writes
+    /// through it can never be seen through another clone (and
+    /// [`Buffer::as_mut_slice`] will not copy).
+    pub fn is_unique(&mut self) -> bool {
+        for_each_variant!(self, v, Arc::get_mut(v).is_some())
+    }
+
     /// The dtype of the stored elements.
     pub fn dtype(&self) -> DType {
         match self {
@@ -494,5 +501,15 @@ mod tests {
         assert_eq!(a, b);
         assert!(!a.shares_storage_with(&b));
         assert!(!a.shares_storage_with(&Buffer::from_vec(vec![1i32])));
+    }
+
+    #[test]
+    fn uniqueness_tracks_live_clones() {
+        let mut a = Buffer::zeros(DType::Float64, 4);
+        assert!(a.is_unique());
+        let b = a.clone();
+        assert!(!a.is_unique());
+        drop(b);
+        assert!(a.is_unique());
     }
 }

@@ -6,9 +6,76 @@
 //! storing the whole array), the fusing engine walks the arrays once in
 //! cache-sized blocks, applying all `k` operations per block. Kernel-launch
 //! count drops from `k` to 1 and intermediate traffic stays cache-resident.
+//!
+//! Grouping and classification depend only on the program, so a plan
+//! computes them once ([`Scheduled`]) and every later run only captures
+//! base pointers and executes.
 
-use bh_ir::{Opcode, Operand, Program, Reg};
+use bh_ir::{Opcode, Operand, Program, Reg, Verified};
 use bh_tensor::{DType, Scalar};
+use std::ops::Deref;
+
+/// A verified program together with the fusing engine's schedule for it:
+/// the fused groups and the classified instructions of each, computed
+/// once when the plan is built rather than on every run.
+///
+/// The only constructor takes the [`Verified`] witness by value and the
+/// type never hands out `&mut Program`, so a schedule can never be paired
+/// with a program other than the one it was computed from. That pairing
+/// is what the fused kernels rely on: they dereference raw base pointers
+/// over `[0, nelem)` on the strength of the schedule's fusability claims
+/// (see `Vm::compile_fused_step`). The naive engine ignores the schedule.
+///
+/// Dereferences to [`Program`] for read access, like [`Verified`].
+#[derive(Debug, Clone)]
+pub struct Scheduled {
+    program: Verified,
+    groups: Vec<ScheduledGroup>,
+}
+
+impl Scheduled {
+    /// Compute the fusion schedule of a verified program.
+    pub fn new(program: Verified) -> Scheduled {
+        let groups = schedule(&program);
+        Scheduled { program, groups }
+    }
+
+    pub(crate) fn groups(&self) -> &[ScheduledGroup] {
+        &self.groups
+    }
+}
+
+impl Deref for Scheduled {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        &self.program
+    }
+}
+
+/// One group of a schedule with its element-wise chain classified
+/// (empty for [`Group::Single`]).
+#[derive(Debug, Clone)]
+pub(crate) struct ScheduledGroup {
+    pub group: Group,
+    pub chain: Vec<FusedInstr>,
+}
+
+/// Partition `program` into groups and classify every fused chain.
+pub(crate) fn schedule(program: &Program) -> Vec<ScheduledGroup> {
+    find_groups(program)
+        .into_iter()
+        .map(|group| {
+            let chain = match &group {
+                Group::Single(_) => Vec::new(),
+                Group::Fused { range, .. } | Group::FusedReduce { range, .. } => {
+                    classify_group(program, range.clone())
+                }
+            };
+            ScheduledGroup { group, chain }
+        })
+        .collect()
+}
 
 /// One scheduling unit for the fusing engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +137,7 @@ pub(crate) struct FusedInstr {
 /// Only call this on ranges produced by [`find_groups`]: the
 /// classification relies on the fusability invariant (all views full,
 /// contiguous, equal length).
-pub(crate) fn classify_group(program: &Program, range: std::ops::Range<usize>) -> Vec<FusedInstr> {
+fn classify_group(program: &Program, range: std::ops::Range<usize>) -> Vec<FusedInstr> {
     range
         .map(|i| {
             let instr = &program.instrs()[i];

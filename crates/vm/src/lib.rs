@@ -50,6 +50,7 @@ mod stats;
 
 pub use eltops::VmElement;
 pub use error::VmError;
+pub use fusion::Scheduled;
 pub use machine::{Engine, Vm};
 pub use pool::{PooledVm, VmPool, WorkerPool};
 pub use stats::ExecStats;
@@ -146,6 +147,38 @@ mod tests {
             vec![4.0, 3.0, 2.0, 1.0]
         );
         let _ = vm;
+    }
+
+    #[test]
+    fn range_writes_indices_in_logical_order() {
+        let range = |text: &str| {
+            let (p, vm) = run_text(text);
+            vm.read_by_name(&p, "a").unwrap().to_f64_vec()
+        };
+        // Contiguous, offset into the base.
+        assert_eq!(
+            range(".base a f64[6]\nBH_RANGE a [1:5:1]\nBH_SYNC a\n"),
+            vec![0.0, 0.0, 1.0, 2.0, 3.0, 0.0]
+        );
+        // Strided.
+        assert_eq!(
+            range(".base a f64[7]\nBH_RANGE a [1:7:2]\nBH_SYNC a\n"),
+            vec![0.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0]
+        );
+        // Reversed: logical index 0 lands on the last element.
+        assert_eq!(
+            range(".base a i64[5]\nBH_RANGE a [::-1]\nBH_SYNC a\n"),
+            vec![4.0, 3.0, 2.0, 1.0, 0.0]
+        );
+        // Rank 2, full (contiguous) and column-strided.
+        assert_eq!(
+            range(".base a f64[2,3]\nBH_RANGE a\nBH_SYNC a\n"),
+            vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        );
+        assert_eq!(
+            range(".base a f64[2,3]\nBH_RANGE a [0:2:1,0:3:2]\nBH_SYNC a\n"),
+            vec![0.0, 0.0, 1.0, 2.0, 0.0, 3.0]
+        );
     }
 
     #[test]

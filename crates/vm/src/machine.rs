@@ -13,7 +13,7 @@
 
 use crate::error::VmError;
 use crate::exec::{self, BinIn, ParCtx};
-use crate::fusion::{self, FusedInput, FusedInstr};
+use crate::fusion::{self, FusedInput, FusedInstr, Scheduled, ScheduledGroup};
 use crate::pool::WorkerPool;
 use crate::stats::ExecStats;
 use bh_ir::{Instruction, OpKind, Opcode, Operand, Program, Reg, TypeRule, ViewRef};
@@ -67,6 +67,9 @@ pub struct Vm {
     workers: Option<Arc<WorkerPool>>,
     par_threshold: usize,
     bases: Vec<Option<Buffer>>,
+    /// Uniquely owned buffers kept by [`Vm::recycle`] for the next run to
+    /// reuse (see [`Vm::trim_spare`] and [`Vm::ensure_alloc`]).
+    spare: Vec<Buffer>,
     stats: ExecStats,
     count_kernel_per_instr: bool,
 }
@@ -90,6 +93,7 @@ impl Vm {
             workers: None,
             par_threshold: exec::PAR_THRESHOLD,
             bases: Vec::new(),
+            spare: Vec::new(),
             stats: ExecStats::new(),
             count_kernel_per_instr: true,
         }
@@ -154,9 +158,20 @@ impl Vm {
     /// Clear memory and counters but keep the base-slot allocation, so a
     /// pooled VM re-running same-shaped programs avoids re-growing its
     /// register table. Equivalent to [`Vm::reset`] observationally.
+    ///
+    /// Base buffers this VM owns alone are kept rather than freed, so
+    /// the next run can reuse them instead of taking fresh pages; a
+    /// buffer still shared (with a read-back [`Tensor`] or a bound
+    /// input) is dropped. A reused buffer is zero-filled before the run
+    /// sees it, so it is indistinguishable from a fresh base (DESIGN.md
+    /// §10).
     pub fn recycle(&mut self) {
         for slot in &mut self.bases {
-            *slot = None;
+            if let Some(mut buffer) = slot.take() {
+                if buffer.is_unique() {
+                    self.spare.push(buffer);
+                }
+            }
         }
         self.stats = ExecStats::new();
         self.count_kernel_per_instr = true;
@@ -170,6 +185,7 @@ impl Vm {
     /// Clear memory and counters.
     pub fn reset(&mut self) {
         self.bases.clear();
+        self.spare.clear();
         self.stats = ExecStats::new();
         self.count_kernel_per_instr = true;
     }
@@ -286,38 +302,96 @@ impl Vm {
         self.run_unchecked(program.program())
     }
 
+    /// Execute a verified program with the fusion schedule its plan
+    /// computed once ([`Scheduled`]): the trusted path of
+    /// [`Vm::run_verified`] minus the per-run grouping work. The naive
+    /// engine ignores the schedule.
+    ///
+    /// # Errors
+    ///
+    /// Runtime failures only, as [`Vm::run_verified`].
+    pub fn run_scheduled(&mut self, plan: &Scheduled) -> Result<(), VmError> {
+        debug_assert!(
+            bh_ir::verify(plan).is_ok(),
+            "Scheduled witness no longer verifies"
+        );
+        self.trim_spare(plan);
+        match self.engine {
+            Engine::Naive => self.run_naive(plan),
+            Engine::Fusing { block } => self.run_fused(plan, plan.groups(), block.max(1)),
+        }
+    }
+
     /// Execute without re-validating (hot path for benchmarks).
     ///
     /// # Errors
     ///
     /// Runtime failures only; malformed programs may panic instead.
     pub fn run_unchecked(&mut self, program: &Program) -> Result<(), VmError> {
+        self.trim_spare(program);
         match self.engine {
-            Engine::Naive => {
-                for instr in program.instrs() {
-                    self.exec_instr(program, instr, None)?;
-                }
-                Ok(())
+            Engine::Naive => self.run_naive(program),
+            Engine::Fusing { block } => {
+                let groups = fusion::schedule(program);
+                self.run_fused(program, &groups, block.max(1))
             }
-            Engine::Fusing { block } => self.run_fused(program, block.max(1)),
         }
     }
 
-    fn run_fused(&mut self, program: &Program, block: usize) -> Result<(), VmError> {
-        for group in fusion::find_groups(program) {
+    /// Free the kept buffers this run cannot take, before it allocates
+    /// anything: each base not yet materialised claims at most one kept
+    /// buffer of its exact dtype and length, and every unclaimed one is
+    /// dropped. The kept set then never holds more than this program's
+    /// own bases would, whatever order the run allocates them in.
+    fn trim_spare(&mut self, program: &Program) {
+        if self.spare.is_empty() {
+            return;
+        }
+        let mut wanted: Vec<(DType, usize)> = program
+            .bases()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| self.bases.get(*i).is_none_or(Option::is_none))
+            .map(|(_, b)| (b.dtype, b.shape.nelem()))
+            .collect();
+        self.spare.retain(|buf| {
+            let claim = wanted
+                .iter()
+                .position(|&(d, n)| d == buf.dtype() && n == buf.len());
+            if let Some(i) = claim {
+                wanted.swap_remove(i);
+            }
+            claim.is_some()
+        });
+    }
+
+    fn run_naive(&mut self, program: &Program) -> Result<(), VmError> {
+        for instr in program.instrs() {
+            self.exec_instr(program, instr, None)?;
+        }
+        Ok(())
+    }
+
+    fn run_fused(
+        &mut self,
+        program: &Program,
+        groups: &[ScheduledGroup],
+        block: usize,
+    ) -> Result<(), VmError> {
+        for ScheduledGroup { group, chain } in groups {
             match group {
                 fusion::Group::Single(i) => {
-                    self.exec_instr(program, &program.instrs()[i], None)?;
+                    self.exec_instr(program, &program.instrs()[*i], None)?;
                 }
                 fusion::Group::Fused { range, nelem } => {
-                    self.run_fused_group(program, range, nelem, block)?;
+                    self.run_fused_group(program, range, chain, *nelem, block)?;
                 }
                 fusion::Group::FusedReduce {
                     range,
                     nelem,
                     reduce,
                 } => {
-                    self.run_fused_reduce_group(program, range, nelem, reduce, block)?;
+                    self.run_fused_reduce_group(program, range, chain, *nelem, *reduce, block)?;
                 }
             }
         }
@@ -334,12 +408,12 @@ impl Vm {
     fn run_fused_group(
         &mut self,
         program: &Program,
-        range: std::ops::Range<usize>,
+        range: &std::ops::Range<usize>,
+        instrs: &[FusedInstr],
         nelem: usize,
         block: usize,
     ) -> Result<(), VmError> {
-        let instrs = fusion::classify_group(program, range.clone());
-        let Some(steps) = self.prepare_fused_steps(program, &instrs) else {
+        let Some(steps) = self.prepare_fused_steps(program, instrs) else {
             // Defensive fallback: interpret the group block-by-block.
             return self.run_fused_group_interpreted(program, range, nelem, block);
         };
@@ -348,7 +422,7 @@ impl Vm {
         // group is one kernel — identical counters for 1 or N threads.
         self.stats.kernels += 1;
         self.stats.fused_groups += 1;
-        self.account_fused_chain(&instrs, nelem);
+        self.account_fused_chain(instrs, nelem);
         let run_chain = |lo: usize, hi: usize| {
             let mut b = lo;
             while b < hi {
@@ -434,7 +508,8 @@ impl Vm {
     fn run_fused_reduce_group(
         &mut self,
         program: &Program,
-        range: std::ops::Range<usize>,
+        range: &std::ops::Range<usize>,
+        instrs: &[FusedInstr],
         nelem: usize,
         reduce: usize,
         block: usize,
@@ -445,10 +520,9 @@ impl Vm {
         let out_geom = program.resolve_view(out_ref)?;
         let dtype = program.base(in_ref.reg).dtype;
 
-        let instrs = fusion::classify_group(program, range.clone());
         self.ensure_alloc(program, in_ref.reg);
         self.ensure_alloc(program, out_ref.reg);
-        let Some(steps) = self.prepare_fused_steps(program, &instrs) else {
+        let Some(steps) = self.prepare_fused_steps(program, instrs) else {
             // Defensive fallback: run the chain interpreted, then the
             // reduction through its stand-alone (still parallel) path.
             self.run_fused_group_interpreted(program, range, nelem, block)?;
@@ -461,7 +535,7 @@ impl Vm {
         self.stats.kernels += 1;
         self.stats.fused_groups += 1;
         self.stats.fused_reductions += 1;
-        self.account_fused_chain(&instrs, nelem);
+        self.account_fused_chain(instrs, nelem);
         let n = nelem as u64;
         self.stats.instructions += 1;
         self.stats.bytes_read += n * dtype.size_of() as u64;
@@ -546,7 +620,7 @@ impl Vm {
     fn run_fused_group_interpreted(
         &mut self,
         program: &Program,
-        range: std::ops::Range<usize>,
+        range: &std::ops::Range<usize>,
         nelem: usize,
         block: usize,
     ) -> Result<(), VmError> {
@@ -680,11 +754,32 @@ impl Vm {
         }
     }
 
+    /// Materialise a register's base as a zero-filled buffer if it holds
+    /// none: a buffer kept by [`Vm::recycle`] of exactly the declared
+    /// dtype and length, zeroed here, or else a fresh allocation.
     fn ensure_alloc(&mut self, program: &Program, reg: Reg) {
         self.ensure_slot(reg);
         if self.bases[reg.index()].is_none() {
             let decl = program.base(reg);
-            self.bases[reg.index()] = Some(Buffer::zeros(decl.dtype, decl.shape.nelem()));
+            let (dtype, n) = (decl.dtype, decl.shape.nelem());
+            let kept = self
+                .spare
+                .iter()
+                .position(|b| b.dtype() == dtype && b.len() == n);
+            let buffer = match kept {
+                Some(i) => {
+                    let mut buffer = self.spare.swap_remove(i);
+                    with_dtype!(dtype, T, {
+                        buffer
+                            .as_mut_slice::<T>()
+                            .expect("kept buffer matches the declared dtype")
+                            .fill(<T as Element>::zero());
+                    });
+                    buffer
+                }
+                None => Buffer::zeros(dtype, n),
+            };
+            self.bases[reg.index()] = Some(buffer);
         }
     }
 
@@ -742,9 +837,18 @@ impl Vm {
                 with_dtype!(dtype, T, {
                     let slice = buffer.as_mut_slice::<T>().expect("dtype matches decl");
                     // Write index values in logical order.
-                    let offsets: Vec<usize> = geom.offsets().collect();
-                    for (counter, off) in offsets.into_iter().enumerate() {
-                        slice[off] = <T as Element>::from_f64(counter as f64);
+                    let index = |k: usize| <T as Element>::from_f64(k as f64);
+                    if geom.is_contiguous() {
+                        let start = geom.offset();
+                        let end = start + geom.nelem();
+                        assert!(end <= slice.len(), "view escapes buffer");
+                        for (k, x) in slice[start..end].iter_mut().enumerate() {
+                            *x = index(k);
+                        }
+                    } else {
+                        for (k, off) in geom.offsets().enumerate() {
+                            slice[off] = index(k);
+                        }
                     }
                 });
                 Ok(())
@@ -1565,4 +1669,75 @@ fn write_tensor_into_view(buffer: &mut Buffer, geom: &ViewGeom, data: &Tensor) {
             i += 1;
         });
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bh_ir::parse_program;
+
+    fn base_ptr(vm: &Vm, reg: Reg) -> *const f64 {
+        vm.bases[reg.index()]
+            .as_ref()
+            .and_then(|b| b.as_slice::<f64>())
+            .expect("materialised f64 base")
+            .as_ptr()
+    }
+
+    #[test]
+    fn recycle_keeps_unique_bases_and_reuse_zeroes_them() {
+        let a = parse_program(
+            ".base t f64[8]\n.base s f64[]\n\
+             BH_IDENTITY t 7\nBH_ADD_REDUCE s t 0\nBH_SYNC s\n",
+        )
+        .unwrap();
+        let mut vm = Vm::new();
+        vm.run(&a).unwrap();
+        let t_ptr = base_ptr(&vm, a.reg_by_name("t").unwrap());
+        // `s` is still shared with this read-back when the VM recycles.
+        let s = vm.read_by_name(&a, "s").unwrap();
+        vm.recycle();
+        assert_eq!(vm.spare.len(), 1, "only the unshared base is kept");
+        assert_eq!(s.to_f64_vec(), vec![56.0]);
+
+        // B writes two elements of a same-sized base and reads it all.
+        let b = parse_program(".base u f64[8]\nBH_IDENTITY u [0:2:1] 1\nBH_SYNC u\n").unwrap();
+        vm.run(&b).unwrap();
+        assert!(vm.spare.is_empty());
+        assert_eq!(base_ptr(&vm, b.reg_by_name("u").unwrap()), t_ptr);
+        assert_eq!(
+            vm.read_by_name(&b, "u").unwrap().to_f64_vec(),
+            vec![1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        );
+    }
+
+    #[test]
+    fn a_run_frees_the_kept_buffers_it_cannot_take() {
+        let a = parse_program(
+            ".base t f64[8]\n.base w i32[16]\n.base z f64[4]\n\
+             BH_IDENTITY t 1\nBH_IDENTITY w 2\nBH_IDENTITY z 3\nBH_SYNC t\n",
+        )
+        .unwrap();
+        let mut vm = Vm::new();
+        vm.run(&a).unwrap();
+        let t_ptr = base_ptr(&vm, a.reg_by_name("t").unwrap());
+        vm.recycle();
+        assert_eq!(vm.spare.len(), 3);
+        // B's `u` misses (same length as `w`, other dtype) before `v`
+        // asks for `t`'s shape: the claim is made up front, so the miss
+        // does not cost `v` its match, and only `w` and `z` are freed.
+        let b = parse_program(
+            ".base u f64[16]\n.base v f64[8]\n\
+             BH_IDENTITY u 3\nBH_IDENTITY v 4\nBH_SYNC v\n",
+        )
+        .unwrap();
+        vm.run(&b).unwrap();
+        assert!(vm.spare.is_empty());
+        assert_eq!(base_ptr(&vm, b.reg_by_name("v").unwrap()), t_ptr);
+
+        vm.recycle();
+        assert_eq!(vm.spare.len(), 2);
+        vm.reset();
+        assert!(vm.spare.is_empty());
+    }
 }

@@ -1,9 +1,13 @@
-//! Regenerates every experiment table in EXPERIMENTS.md.
+//! Prints every experiment table of DESIGN.md §5 (E1–E9) to stdout as
+//! Markdown.
 //!
-//! One section per experiment of DESIGN.md §5 (E1–E8). Each section prints
-//! a Markdown table with the model counters (byte-codes, kernel launches,
-//! flops) and measured median wall-clock times, so the paper-vs-measured
-//! comparison can be refreshed with `cargo run --release --bin experiments`.
+//! One section per experiment. Each section prints a table with the model
+//! counters (byte-codes, kernel launches, flops) and measured median
+//! wall-clock times, so the paper-vs-measured comparison can be refreshed
+//! with `cargo run --release --bin experiments`. Nothing is written to
+//! disk. Every table runs on the naive engine (one kernel per byte-code,
+//! the regime the paper's rewrites target) except E7, which compares it
+//! with the fusing engine.
 
 use bh_ir::{parse_program, PrintStyle, Program};
 use bh_opt::{chains, OptLevel, OptOptions, Optimizer};
@@ -54,9 +58,9 @@ fn optimized(program: &Program, level: OptLevel) -> Program {
 // --- E1: Listings 1–2, front-end lowering ------------------------------
 
 fn e1_listing_lowering() {
-    use bh_frontend::Context;
+    use bh_frontend::{Context, Runtime};
     println!("## E1 — Listing 1 lowers to Listing 2 byte-code\n");
-    let ctx = Context::new();
+    let ctx = Context::with_runtime(Runtime::builder().engine(Engine::Naive).build_shared());
     let mut a = ctx.zeros(DType::Float64, Shape::vector(10));
     a += 1.0;
     a += 1.0;
@@ -355,7 +359,10 @@ fn e9_transformation_cache() {
         let program = add_chain_program(1000, k);
         let reg = program.reg_by_name("a0").expect("declared");
 
-        let uncached = Runtime::builder().cache_capacity(0).build();
+        let uncached = Runtime::builder()
+            .engine(Engine::Naive)
+            .cache_capacity(0)
+            .build();
         let t_un = {
             let start = Instant::now();
             for _ in 0..evals {
@@ -364,7 +371,7 @@ fn e9_transformation_cache() {
             start.elapsed().as_secs_f64()
         };
 
-        let cached = Runtime::new();
+        let cached = Runtime::builder().engine(Engine::Naive).build();
         let t_ca = {
             let start = Instant::now();
             for _ in 0..evals {

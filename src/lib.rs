@@ -18,8 +18,8 @@
 //! * [`frontend`] — the lazy NumPy-flavoured front-end (`bh-frontend`)
 //!
 //! plus [`testing`], the cross-crate semantic-equivalence harness used by
-//! the integration test-suite, and the `experiments` binary that
-//! regenerates every table in EXPERIMENTS.md.
+//! the integration test-suite, and the `experiments` binary that prints
+//! every experiment table of DESIGN.md §5 (E1–E9) as Markdown to stdout.
 //!
 //! See README.md for a guided tour and DESIGN.md for the system inventory.
 
